@@ -95,10 +95,22 @@ fn check(report: &str, schema: &str) -> Result<usize, String> {
     }
     // The verdicts are the acceptance claims — a shipped report must
     // not contain a failed one.
-    if report.contains("\"pass\":false") {
+    if has_failed_verdict(report) {
         return Err("report contains a failed verdict".to_string());
     }
     Ok(required.len())
+}
+
+/// Whether any `"pass"` key holds `false`, with any whitespace around
+/// the colon — a pretty-printed `"pass": false` is as failed as the
+/// compact form.
+fn has_failed_verdict(report: &str) -> bool {
+    report.match_indices("\"pass\"").any(|(at, key)| {
+        report[at + key.len()..]
+            .trim_start()
+            .strip_prefix(':')
+            .is_some_and(|value| value.trim_start().starts_with("false"))
+    })
 }
 
 /// One measured point of a sweep.
@@ -335,6 +347,25 @@ mod tests {
         // A failed verdict must fail.
         let failed = doc.replacen("\"pass\":true", "\"pass\":false", 1);
         assert!(check(&failed, &schema).is_err());
+    }
+
+    #[test]
+    fn failed_verdict_is_found_at_any_spacing() {
+        for failed in [
+            r#"{"pass":false}"#,
+            r#"{"pass": false}"#,
+            "{\"pass\" :\n\t false}",
+        ] {
+            assert!(has_failed_verdict(failed), "{failed}");
+        }
+        for passed in [
+            r#"{"pass":true}"#,
+            r#"{"pass": true}"#,
+            r#"{"bypass":false,"pass":true}"#,
+            r#"{"name":"pass","lhs":false}"#,
+        ] {
+            assert!(!has_failed_verdict(passed), "{passed}");
+        }
     }
 
     #[test]

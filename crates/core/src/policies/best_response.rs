@@ -20,8 +20,10 @@ use std::sync::OnceLock;
 
 /// Obs counters for the optimized solve paths. All are pure functions
 /// of the instance (no wall clock, no RNG), so they are identical
-/// across runs of the same seed. Hot loops accumulate into locals and
-/// flush with one atomic add per `greedy`/`local_search` call.
+/// across runs of the same seed. Hot loops accumulate into a
+/// [`SolverTally`] and flush with one atomic add per counter per
+/// `greedy`/`local_search` call. `gain_bound_rejects` counts both the
+/// swap scan's insertion-gain rejects and greedy's stale-gain rejects.
 struct BrObs {
     scanned: egoist_obs::Counter,
     bound_rejects: egoist_obs::Counter,
@@ -44,6 +46,29 @@ fn br_obs() -> &'static BrObs {
             rounds: r.counter("core.solver.rounds"),
         }
     })
+}
+
+/// Per-call work counts of one solver run, flushed into [`BrObs`].
+#[derive(Default)]
+struct SolverTally {
+    rounds: u64,
+    scanned: u64,
+    bound_rejects: u64,
+    prefilter_rejects: u64,
+    exact_evals: u64,
+    eval_aborts: u64,
+}
+
+impl SolverTally {
+    fn flush(&self) {
+        let obs = br_obs();
+        obs.rounds.add(self.rounds);
+        obs.scanned.add(self.scanned);
+        obs.bound_rejects.add(self.bound_rejects);
+        obs.prefilter_rejects.add(self.prefilter_rejects);
+        obs.exact_evals.add(self.exact_evals);
+        obs.eval_aborts.add(self.eval_aborts);
+    }
 }
 
 /// Reusable backing storage for [`BrInstance`] — the assignment matrix
@@ -212,6 +237,21 @@ impl BrInstance {
         (acc[0] + acc[1]) + (acc[2] + acc[3]) + rest
     }
 
+    /// `Σ_t w_t · min(cap_t, a(c,t))` accumulated in the reference
+    /// order, stopping once the partial sum reaches `stop` (terms are
+    /// non-negative, so it can only grow). Returns the sum — partial,
+    /// and so a lower bound, when the flag says it stopped early.
+    fn capped_cost(&self, c: usize, cap: &[f64], stop: f64) -> (f64, bool) {
+        let mut cost = 0.0;
+        for ((&w, &cap), &a) in self.weight.iter().zip(cap).zip(self.arow(c)) {
+            cost += w * cap.min(a);
+            if cost >= stop {
+                return (cost, true);
+            }
+        }
+        (cost, false)
+    }
+
     /// Cost of a candidate subset (indices into `cand`).
     pub fn eval(&self, subset: &[usize]) -> f64 {
         let nd = self.dests.len();
@@ -232,25 +272,47 @@ impl BrInstance {
     /// Greedy seeding: repeatedly add the candidate with the largest
     /// marginal cost reduction. `forced` members are taken first.
     ///
-    /// Decision-identical micro-opts over [`Self::greedy_reference`]
-    /// (asserted by tests):
-    /// * membership is a boolean mask instead of `Vec::contains` — the
-    ///   candidate loop runs `O(k · |cand|)` membership probes and a
-    ///   linear scan per probe dominates once `|cand|` reaches the
-    ///   hundreds (see the `membership_mask` criterion group);
-    /// * each candidate is prefiltered by a vectorized approximation of
-    ///   its cost ([`Self::approx_capped_cost`]): the exact sum differs
-    ///   from the approximation only by summation-order rounding
-    ///   (≤ ~1e-13 relative), so `approx − margin ≥ pick_cost` with a
-    ///   1e-9 relative margin proves the candidate cannot *strictly*
-    ///   beat the incumbent and is skipped;
-    /// * survivors are accumulated in the identical reference order
-    ///   (aborting once the partial sum reaches the incumbent — terms
-    ///   are non-negative), so picks and their costs are bit-identical.
+    /// Decision-identical to [`Self::greedy_reference`] (asserted by
+    /// tests): every pick is the lowest-index candidate of minimal
+    /// reference-order cost, with the same bits. The scan is lazy in
+    /// the CELF style:
+    /// * **Stale-gain bound.** Insertion gains
+    ///   `Σ_t w_t · max(0, b_t − a(c,t))` are submodular — they only
+    ///   shrink as picks lower `b` — so a gain derived at an earlier
+    ///   pick (`g_c`, refreshed from every cost the scan computes,
+    ///   inflated by a 1e-9 relative slack) bounds the current one.
+    ///   Each pick first evaluates the candidate with the largest `g_c`
+    ///   exactly; its cost is the `ceiling`. Any `c` with
+    ///   `total − g_c − slack ≥ ceiling` (`total = Σ_t w_t · b_t`) is
+    ///   then provably *strictly* worse than that probe and is skipped:
+    ///   it can neither be the pick nor tie with it.
+    /// * **Index-order scan.** Everything else runs the scan in
+    ///   candidate order, so tie-breaks are the reference's: a boolean
+    ///   membership mask instead of `Vec::contains` (see the
+    ///   `membership_mask` criterion group); a vectorized approximation
+    ///   of each cost ([`Self::approx_capped_cost`]) that rejects when
+    ///   `approx − margin ≥ pick_cost` — it differs from the exact sum
+    ///   only by summation-order rounding (≤ ~1e-13 relative), far
+    ///   inside the 1e-9 margin; and survivors accumulated in the
+    ///   reference order, aborting once the partial sum reaches the
+    ///   incumbent (terms are non-negative).
+    ///
+    /// Cost per call: `O(|cand|·|dests|)` for the first pick (no gain
+    /// is known yet), then `O(|dests| + |cand|)` per pick plus
+    /// `O(|dests|)` per candidate the bound does not reject.
     pub fn greedy(&self, k: usize, forced: &[usize]) -> Vec<usize> {
+        let (chosen, tally) = self.greedy_tallied(k, forced);
+        tally.flush();
+        chosen
+    }
+
+    /// [`Self::greedy`] with its work counts handed back instead of
+    /// flushed.
+    fn greedy_tallied(&self, k: usize, forced: &[usize]) -> (Vec<usize>, SolverTally) {
         let nd = self.dests.len();
+        let nc = self.cand.len();
         let mut chosen: Vec<usize> = forced.to_vec();
-        let mut in_chosen = vec![false; self.cand.len()];
+        let mut in_chosen = vec![false; nc];
         for &c in forced {
             in_chosen[c] = true;
         }
@@ -260,32 +322,71 @@ impl BrInstance {
                 *b = b.min(self.a(c, t));
             }
         }
-        let (mut scanned, mut prefilter_rejects, mut exact_evals, mut eval_aborts) =
-            (0u64, 0u64, 0u64, 0u64);
-        while chosen.len() < k.min(self.cand.len()) {
+        // Upper bounds on each candidate's current insertion gain;
+        // unknown until the scan first costs the candidate.
+        let mut stale_gain = vec![f64::INFINITY; nc];
+        let mut tally = SolverTally::default();
+        while chosen.len() < k.min(nc) {
+            let total: f64 = self
+                .weight
+                .iter()
+                .zip(&best_per_dest)
+                .map(|(w, b)| w * b)
+                .sum();
+            // Every cost here is at most `total` (up to rounding) and
+            // carries ≤ ~1e-13 relative rounding; this slack dwarfs it on
+            // both sides of the bound.
+            let slack = 1e-9 * (total + 1.0);
+            // The probe: the free candidate with the largest stale gain,
+            // costed exactly. No pick can cost more than this ceiling.
+            let mut top: Option<usize> = None;
+            for c in (0..nc).filter(|&c| !in_chosen[c]) {
+                if top.is_none_or(|p| stale_gain[c] > stale_gain[p]) {
+                    top = Some(c);
+                }
+            }
+            let probe = top.filter(|&p| stale_gain[p].is_finite()).map(|p| {
+                tally.exact_evals += 1;
+                let (cost, _) = self.capped_cost(p, &best_per_dest, f64::INFINITY);
+                stale_gain[p] = total - cost + slack;
+                (p, cost)
+            });
+            let ceiling = probe.map_or(f64::INFINITY, |(_, cost)| cost);
             let mut pick = None;
             let mut pick_cost = f64::INFINITY;
-            for (c, _) in in_chosen.iter().enumerate().filter(|(_, &taken)| !taken) {
-                scanned += 1;
+            for c in 0..nc {
+                if in_chosen[c] {
+                    continue;
+                }
+                tally.scanned += 1;
+                if let Some((p, p_cost)) = probe.filter(|&(p, _)| p == c) {
+                    // Its exact cost is known: the scan would prefilter
+                    // or abort it exactly when `p_cost ≥ pick_cost`.
+                    if p_cost < pick_cost {
+                        pick_cost = p_cost;
+                        pick = Some(p);
+                    }
+                    continue;
+                }
+                if total - stale_gain[c] - slack >= ceiling {
+                    tally.bound_rejects += 1;
+                    continue; // strictly worse than the probe
+                }
                 if pick_cost.is_finite() {
                     let approx = self.approx_capped_cost(c, &best_per_dest);
+                    stale_gain[c] = stale_gain[c].min(total - approx + slack);
                     if approx - 1e-9 * (approx + 1.0) >= pick_cost {
-                        prefilter_rejects += 1;
+                        tally.prefilter_rejects += 1;
                         continue; // provably cannot strictly win
                     }
                 }
-                exact_evals += 1;
-                let mut cost = 0.0;
-                let mut aborted = false;
-                for (t, (&w, &best)) in self.weight.iter().zip(best_per_dest.iter()).enumerate() {
-                    cost += w * best.min(self.a(c, t));
-                    if cost >= pick_cost {
-                        aborted = true;
-                        break;
-                    }
-                }
+                tally.exact_evals += 1;
+                let (cost, aborted) = self.capped_cost(c, &best_per_dest, pick_cost);
+                // A partial sum under-counts the cost, so it still
+                // yields an upper bound on the gain.
+                stale_gain[c] = stale_gain[c].min(total - cost + slack);
                 if aborted {
-                    eval_aborts += 1;
+                    tally.eval_aborts += 1;
                 } else if cost < pick_cost {
                     pick_cost = cost;
                     pick = Some(c);
@@ -298,12 +399,7 @@ impl BrInstance {
                 *b = b.min(self.a(c, t));
             }
         }
-        let obs = br_obs();
-        obs.scanned.add(scanned);
-        obs.prefilter_rejects.add(prefilter_rejects);
-        obs.exact_evals.add(exact_evals);
-        obs.eval_aborts.add(eval_aborts);
-        chosen
+        (chosen, tally)
     }
 
     /// The pre-optimization greedy, kept verbatim as the timing
@@ -380,16 +476,30 @@ impl BrInstance {
         forced: &[usize],
         max_rounds: usize,
     ) -> (Vec<usize>, f64) {
-        let nd = self.dests.len();
-        let nc = self.cand.len();
         let mut subset = init;
         subset.sort_unstable();
         subset.dedup();
-        let mut cost = self.eval(&subset);
-        if subset.len() < k.min(nc) {
+        if subset.len() < k.min(self.cand.len()) {
             subset = self.greedy(k, &subset);
-            cost = self.eval(&subset);
         }
+        self.local_search_seeded(subset, forced, max_rounds)
+    }
+
+    /// [`Self::local_search`]'s swap rounds, starting from `seed` exactly
+    /// as given: no sort, no dedup, no greedy completion. The subset's
+    /// order is the swap scan's `out` order, so a seed handed over in
+    /// greedy pick order reproduces what `local_search` does after it
+    /// completed an empty `init` with that same greedy.
+    fn local_search_seeded(
+        &self,
+        seed: Vec<usize>,
+        forced: &[usize],
+        max_rounds: usize,
+    ) -> (Vec<usize>, f64) {
+        let nd = self.dests.len();
+        let nc = self.cand.len();
+        let mut subset = seed;
+        let mut cost = self.eval(&subset);
         // Reusable membership masks (see `greedy` for the rationale).
         let mut in_subset = vec![false; nc];
         for &c in &subset {
@@ -406,11 +516,10 @@ impl BrInstance {
         // Candidate freed by the previous round's swap (its bound is
         // stale since it sat inside the subset).
         let mut freed: Option<usize> = None;
-        let (mut rounds, mut scanned, mut bound_rejects) = (0u64, 0u64, 0u64);
-        let (mut prefilter_rejects, mut exact_evals, mut eval_aborts) = (0u64, 0u64, 0u64);
+        let mut tally = SolverTally::default();
 
         for _ in 0..max_rounds {
-            rounds += 1;
+            tally.rounds += 1;
             // best1/best2 assignment per destination.
             let mut b1 = vec![(self.penalty, usize::MAX); nd]; // (cost, cand)
             let mut b2 = vec![self.penalty; nd];
@@ -488,7 +597,7 @@ impl BrInstance {
                     if in_subset[inn] {
                         continue;
                     }
-                    scanned += 1;
+                    tally.scanned += 1;
                     let threshold = match best_swap {
                         Some((_, _, c)) => c.min(cost - 1e-12),
                         None => cost - 1e-12,
@@ -498,26 +607,18 @@ impl BrInstance {
                     // everything that is not a near-tie.
                     let margin = 1e-9 * (base + gain_bound[inn] + 1.0);
                     if base - gain_bound[inn] >= threshold + margin {
-                        bound_rejects += 1;
+                        tally.bound_rejects += 1;
                         continue;
                     }
                     let approx = self.approx_capped_cost(inn, &surviving);
                     if approx - 1e-9 * (approx + 1.0) >= threshold {
-                        prefilter_rejects += 1;
+                        tally.prefilter_rejects += 1;
                         continue; // the exact eval would have aborted
                     }
-                    exact_evals += 1;
-                    let mut new_cost = 0.0;
-                    let mut aborted = false;
-                    for (t, (&w, &surv)) in self.weight.iter().zip(surviving.iter()).enumerate() {
-                        new_cost += w * surv.min(self.a(inn, t));
-                        if new_cost >= threshold {
-                            aborted = true;
-                            break;
-                        }
-                    }
+                    tally.exact_evals += 1;
+                    let (new_cost, aborted) = self.capped_cost(inn, &surviving, threshold);
                     if aborted {
-                        eval_aborts += 1;
+                        tally.eval_aborts += 1;
                     }
                     if !aborted
                         && new_cost < cost - 1e-12
@@ -539,13 +640,7 @@ impl BrInstance {
                 None => break,
             }
         }
-        let obs = br_obs();
-        obs.rounds.add(rounds);
-        obs.scanned.add(scanned);
-        obs.bound_rejects.add(bound_rejects);
-        obs.prefilter_rejects.add(prefilter_rejects);
-        obs.exact_evals.add(exact_evals);
-        obs.eval_aborts.add(eval_aborts);
+        tally.flush();
         (subset, cost)
     }
 
@@ -772,7 +867,14 @@ impl BestResponse {
             } else {
                 inst.greedy(k, &[])
             };
-            let (s1, c1) = self.run_local_search(&inst, k, init.clone());
+            // With no alive member left, local search would complete the
+            // empty wiring with this very greedy: hand it over, in pick
+            // order, instead of recomputing it.
+            let (s1, c1) = if init.is_empty() && !self.reference {
+                inst.local_search_seeded(greedy.clone(), &[], self.max_rounds)
+            } else {
+                self.run_local_search(&inst, k, init.clone())
+            };
             let (s2, c2) = self.run_local_search(&inst, k, greedy);
             if c1 <= c2 {
                 (s1, c1)
@@ -1005,6 +1107,138 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
         assert_eq!(c_opt.to_bits(), c_ref.to_bits());
+    }
+
+    /// An instance built for exact ties: `n − 1` is a power of two, so
+    /// the uniform weight `1/(n−1)` and every cost (integer delays,
+    /// integer penalty) are exact in `f64`; most nodes have no out-link,
+    /// so most candidates reach only themselves and their assignment
+    /// rows are penalty-clamped almost everywhere.
+    fn tie_instance(n: usize, seed: usize) -> (DistanceMatrix, Wiring) {
+        let d = DistanceMatrix::from_fn(n, |i, j| ((i * 5 + j * 7 + seed) % 3 + 1) as f64);
+        let mut w = Wiring::empty(n);
+        for i in (0..n).filter(|i| (i + seed).is_multiple_of(8)) {
+            let j = (i * 3 + seed + 1) % n;
+            if j != i {
+                w.rewire(NodeId::from_index(i), vec![NodeId::from_index(j)]);
+            }
+        }
+        (d, w)
+    }
+
+    /// Replays the reference greedy and returns, over its picks, the
+    /// largest number of free candidates sharing the minimal cost.
+    fn widest_pick_tie(inst: &BrInstance, k: usize, forced: &[usize]) -> usize {
+        let mut chosen: Vec<usize> = forced.to_vec();
+        let mut widest = 0;
+        while chosen.len() < k.min(inst.cand.len()) {
+            let costs: Vec<(usize, f64)> = (0..inst.cand.len())
+                .filter(|c| !chosen.contains(c))
+                .map(|c| {
+                    let mut with = chosen.clone();
+                    with.push(c);
+                    (c, inst.eval(&with))
+                })
+                .collect();
+            let min = costs.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
+            let tied: Vec<usize> = costs
+                .iter()
+                .filter(|&&(_, v)| v == min)
+                .map(|&(c, _)| c)
+                .collect();
+            widest = widest.max(tied.len());
+            chosen.push(tied[0]);
+        }
+        widest
+    }
+
+    #[test]
+    fn optimized_solvers_match_reference_on_exact_ties() {
+        for seed in 0..4 {
+            for (n, k) in [(17usize, 6usize), (33, 8), (65, 14)] {
+                let (d, w) = tie_instance(n, seed);
+                let parts = CtxParts::build(&d, &w, NodeId::from_index(seed % n), k);
+                let inst = BrInstance::build(&parts.ctx());
+                let clamped = (0..inst.cand.len())
+                    .flat_map(|c| (0..inst.dests.len()).map(move |t| (c, t)))
+                    .filter(|&(c, t)| inst.assignment(c, t) == inst.penalty)
+                    .count();
+                assert!(
+                    2 * clamped > inst.cand.len() * inst.dests.len(),
+                    "n={n}: only {clamped} penalty-clamped entries"
+                );
+                let forced = [1usize, n / 2];
+                for forced in [&[][..], &forced[..]] {
+                    let tie = widest_pick_tie(&inst, k, forced);
+                    assert!(tie >= 2, "n={n}, seed={seed}: no tied pick to break");
+                    let g_opt = inst.greedy(k, forced);
+                    let g_ref = inst.greedy_reference(k, forced);
+                    assert_eq!(
+                        g_opt, g_ref,
+                        "greedy tie-break drifted (n={n}, seed={seed})"
+                    );
+                    for init in [Vec::new(), g_opt.clone(), forced.to_vec()] {
+                        let (s_opt, c_opt) = inst.local_search(k, init.clone(), forced, 64);
+                        let (s_ref, c_ref) = inst.local_search_reference(k, init, forced, 64);
+                        assert_eq!(s_opt, s_ref, "swap tie-break drifted (n={n}, seed={seed})");
+                        assert_eq!(c_opt.to_bits(), c_ref.to_bits());
+                    }
+                    // The seed `solve` hands over, in pick order, must
+                    // replay the greedy completion of `init = forced`.
+                    let (s_opt, c_opt) = inst.local_search_seeded(g_opt, forced, 64);
+                    let (s_ref, c_ref) =
+                        inst.local_search_reference(k, forced.to_vec(), forced, 64);
+                    assert_eq!(
+                        s_opt, s_ref,
+                        "seeded local search drifted (n={n}, seed={seed})"
+                    );
+                    assert_eq!(c_opt.to_bits(), c_ref.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_breaks_a_tie_with_a_stale_probe_by_index() {
+        // Four destinations (unit weight, penalty 10). Candidate 2 serves
+        // t0 and t1 and is picked first. Candidate 3's gain then drops
+        // from 16 to 6, but its stale gain still makes it the probe of
+        // the second pick, where it ties at cost 14 with candidate 0 —
+        // which the reference picks, being first in index order.
+        let p = 10.0;
+        let inst = BrInstance {
+            cand: (0..4).map(NodeId::from_index).collect(),
+            dests: (4..8).map(NodeId::from_index).collect(),
+            weight: vec![1.0; 4],
+            assign: vec![
+                p, p, p, 4.0, // 0: t3 only
+                p, p, p, p, // 1: nothing
+                0.0, 0.0, p, p, // 2: t0 and t1
+                p, 0.0, 4.0, p, // 3: t1 and t2
+            ],
+            penalty: p,
+        };
+        assert_eq!(widest_pick_tie(&inst, 2, &[]), 2);
+        assert_eq!(inst.greedy_reference(2, &[]), vec![2, 0]);
+        assert_eq!(inst.greedy(2, &[]), vec![2, 0]);
+        let (s_opt, c_opt) = inst.local_search(3, Vec::new(), &[], 64);
+        let (s_ref, c_ref) = inst.local_search_reference(3, Vec::new(), &[], 64);
+        assert_eq!(s_opt, s_ref);
+        assert_eq!(c_opt.to_bits(), c_ref.to_bits());
+    }
+
+    #[test]
+    fn greedy_stale_gain_bound_fires() {
+        for (d, w) in [scrambled_instance(200, 1), tie_instance(257, 2)] {
+            let parts = CtxParts::build(&d, &w, NodeId(0), 10);
+            let inst = BrInstance::build(&parts.ctx());
+            let (chosen, tally) = inst.greedy_tallied(10, &[]);
+            assert_eq!(chosen, inst.greedy_reference(10, &[]));
+            assert!(
+                tally.bound_rejects > 0,
+                "greedy's stale-gain bound never rejected a candidate"
+            );
+        }
     }
 
     #[test]
